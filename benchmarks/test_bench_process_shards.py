@@ -18,8 +18,8 @@ Two arms:
 * **overlap** — simulated per-test latency (verification-bound regime, as
   in C1).  Sleeping releases the GIL *and* the worker's core, so the fan-out
   speedup shows through the process transport on any host; its ≥2.5× floor
-  is enforced unconditionally, proving the envelope-over-loopback transport
-  is not the bottleneck.
+  is enforced unconditionally, proving the pipe transport is not the
+  bottleneck.
 
 Every configuration's answer sets are asserted identical to direct
 execution before any throughput number is reported.

@@ -15,7 +15,7 @@ The sharding tour of the library:
 Run with:  python examples/sharded_serving.py
 
 Pass ``--shard-backend process`` to host every shard in a spawned worker
-process (v2 envelopes over loopback) instead of in-process threads — same
+process (one pipe per worker) instead of in-process threads — same
 answers, same metrics fan-in, but CPU-bound verification is no longer
 GIL-bound.
 """

@@ -290,17 +290,6 @@ class AsyncRemoteGraphService:
                 self.in_flight -= 1
         raise ServerError("unreachable")  # pragma: no cover
 
-    async def request(self, method: str, path: str,
-                      body: dict | None = None) -> tuple[int, dict]:
-        """One raw request/response exchange over the pool.
-
-        The transport hook the process shard backend drives its workers
-        through (queries *and* admin endpoints); same retry semantics as
-        every other call — stale keep-alive connections are retried once,
-        timeouts always propagate.
-        """
-        return await self._request(method, path, body)
-
     # ------------------------------------------------------------------ #
     # protocol negotiation
     # ------------------------------------------------------------------ #

@@ -8,7 +8,7 @@ record so a slow-query trace and its log lines can be joined.
 
 Shard worker processes install a :class:`BufferedLogHandler` on the
 ``repro`` root: warnings and errors are buffered (bounded) and drained by
-the coordinator over the existing admin channel, then re-emitted into the
+the coordinator over each worker's pipe, then re-emitted into the
 coordinator's log stream with a ``shard=N`` prefix — one terminal shows
 the whole distributed system's problems.
 """
@@ -75,7 +75,7 @@ class BufferedLogHandler(logging.Handler):
     """Bounded in-memory buffer of formatted records for remote draining.
 
     Installed on a shard worker's ``repro`` root at WARNING level; the
-    coordinator drains it over ``POST /admin/logs/drain`` and replays the
+    coordinator drains it with the ``drain-logs`` op and replays the
     entries into its own log stream.  Overflow drops the oldest entries and
     counts them, so a chatty worker can never grow without bound.
     """

@@ -10,8 +10,8 @@ verify/assemble/admit) → merge.  The context travels in two shapes:
   never carry it, so legacy clients are unaffected;
 * **in process** — a plain JSON-safe dict under ``Query.metadata["trace"]``
   (the :data:`TRACE_KEY` carrier), which survives every hop the metadata
-  already makes: batcher → sharded scatter → the loopback envelope into a
-  process shard worker.
+  already makes: batcher → sharded scatter → the pickled query frame into
+  a process shard worker.
 
 Durations are measured with monotonic clocks (``time.perf_counter``); the
 wall-clock ``start`` stamp exists only to order spans for display and is

@@ -25,9 +25,9 @@ SCATTER_MODES = ("full", "short-circuit")
 
 #: How a sharded system hosts its shards (:mod:`repro.sharding.system`):
 #: ``thread`` keeps every shard in-process (one scatter-pool slot each);
-#: ``process`` spawns one OS worker process per shard, speaking the v2
-#: envelope protocol over loopback sockets, so CPU-bound verification
-#: escapes the GIL and scales with cores.
+#: ``process`` spawns one OS worker process per shard, reached over the
+#: duplex pipe it was spawned with, so CPU-bound verification escapes the
+#: GIL and scales with cores.
 SHARD_BACKENDS = ("thread", "process")
 
 #: How the request batcher admits queries (:mod:`repro.server.batcher`):
@@ -108,8 +108,8 @@ class GCConfig:
     #: ``cost-based`` (per-shard estimated batch cost backpressure).
     admission_mode: str = "queue-depth"
     #: Shard hosting: ``thread`` (in-process shards on the scatter pool) or
-    #: ``process`` (one spawned worker process per shard, v2 envelopes over
-    #: loopback — CPU-bound verification scales past the GIL).
+    #: ``process`` (one spawned worker process per shard, one pipe each —
+    #: CPU-bound verification scales past the GIL).
     shard_backend: str = "thread"
     #: How many times a crashed shard worker process is replaced before the
     #: coordinator surfaces a :class:`~repro.errors.ShardWorkerError`

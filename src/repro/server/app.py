@@ -67,7 +67,6 @@ from repro.graph.graph import Graph
 from repro.methods.base import MethodM
 from repro.obs.collectors import (
     batcher_samples,
-    pool_samples,
     recorder_samples,
     scatter_samples,
     system_samples,
@@ -545,7 +544,7 @@ class QueryServer:
         }
 
     def _runtime_samples(self):
-        """Registry collector: uptime, worker liveness, async-pool gauges."""
+        """Registry collector: uptime and worker liveness."""
         yield Sample("gc_server_uptime_seconds", GAUGE,
                      time.monotonic() - self._started_at,
                      help="Seconds since the server started")
@@ -561,10 +560,6 @@ class QueryServer:
                              float(row.get("respawns", 0)),
                              help="Times the shard's worker was respawned",
                              labels=dict(labels))
-        backend = getattr(self.system, "_process_backend", None)
-        if backend is not None:
-            for stats in backend.pool_stats():
-                yield from pool_samples(stats)
 
     def health(self) -> dict:
         """The ``/health`` payload: liveness plus per-worker detail.

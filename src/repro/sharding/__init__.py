@@ -10,8 +10,9 @@ agnostic of whether they hold a sharded or an unsharded engine.
 Shards run on one of two execution backends (``GCConfig.shard_backend``):
 ``"thread"`` hosts each shard in-process on the scatter pool, ``"process"``
 spawns one worker *process* per shard (:class:`ProcessShardBackend` +
-:mod:`repro.sharding.worker`) speaking v2 envelopes over loopback — same
-scatter-gather semantics, no shared GIL for CPU-bound verification.
+:mod:`repro.sharding.worker`) and talks to it over the duplex pipe it was
+spawned with — same scatter-gather semantics, no shared GIL for CPU-bound
+verification, no listening port.
 """
 
 from repro.runtime.config import SCATTER_MODES, SHARD_BACKENDS, SHARD_POLICIES

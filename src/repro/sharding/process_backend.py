@@ -1,4 +1,4 @@
-"""ProcessShardBackend: one spawned worker process per shard, v2 envelopes.
+"""ProcessShardBackend: one spawned worker process per shard, one pipe each.
 
 The GIL makes ``shard_backend="thread"`` a single-core deployment for
 CPU-bound verification: the C1b benchmark shows 4 threads running *slower*
@@ -7,10 +7,17 @@ merge, cost-based admission, ``/metrics`` fan-in, snapshots — and swaps only
 the shard hosting: each shard becomes a spawned OS process running
 :func:`repro.sharding.worker.worker_main` (its own
 :class:`~repro.runtime.system.GraphCacheSystem`, its own interpreter, its
-own core), reachable over loopback HTTP speaking the existing v2 envelope
-protocol.  PR 5's protocol work is what makes this cheap: the transport is
-the stock :class:`~repro.api.aio.AsyncRemoteGraphService` pool, pinned to
-v2, multiplexed on one coordinator-owned event-loop thread.
+own core).  The coordinator reaches each worker over the duplex
+``multiprocessing`` pipe it spawned it with: an anonymous socketpair that
+only the parent holds, so no worker binds a port.  Frames are pickled
+``(request_id, op, payload)`` requests and ``(request_id, ok, result)``
+replies (see :mod:`repro.sharding.worker`); a query batch crosses as
+:class:`~repro.query_model.Query` objects and comes back as full
+:class:`~repro.runtime.report.QueryReport` objects, with no envelope codec
+on either side.  Per worker, one send lock serialises writes and one
+receiver thread resolves a :class:`~concurrent.futures.Future` per request
+id, so concurrent calls to one worker (the scatter pool's batches, a hedge,
+a metrics scrape) overlap rather than queue.
 
 :class:`ProcessShardClient` implements the same shard surface
 :class:`~repro.sharding.system.ShardedGraphCacheSystem` already scatters to
@@ -22,11 +29,12 @@ worker returns, which is what keeps ``attach_shard`` fan-in and cost-based
 admission (``observed_test_cost``/``mean_dataset_tests``) working unchanged.
 
 Worker lifecycle: spawn + ready-handshake at construction (startup errors
-travel back over the pipe), graceful drain (``/admin/shutdown`` → join →
-terminate) at close, and crash recovery in between — a request hitting a
-dead worker triggers a bounded respawn (``GCConfig.shard_respawn_limit``)
-and re-issues *only the failed queries* against the cold replacement (sound:
-the cache only ever prunes guaranteed candidates, so answers are invariant
+travel back over the pipe), graceful drain (``shutdown`` op → join →
+kill) at close, and crash recovery in between — a dead worker shows up as
+end-of-file on its pipe, which fails every call pending on it; the first
+failed caller spends bounded respawn budget (``GCConfig.shard_respawn_limit``)
+and each failed call is re-issued against the cold replacement (sound: the
+cache only ever prunes guaranteed candidates, so answers are invariant
 under cache state).  A worker that stays down surfaces as a typed,
 retryable :class:`~repro.errors.ShardWorkerError` (wire code
 ``shard-worker``, HTTP 503).
@@ -34,57 +42,97 @@ retryable :class:`~repro.errors.ShardWorkerError` (wire code
 
 from __future__ import annotations
 
-import asyncio
+import itertools
 import multiprocessing
 import threading
 from collections.abc import Callable, Sequence
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as CallTimeoutError
 
-from repro.api.aio import AsyncRemoteGraphService
-from repro.api.envelopes import (
-    ErrorEnvelope,
-    QueryRequest,
-    parse_response,
-    wire_result,
-)
+from repro.api.envelopes import ErrorEnvelope
 from repro.cache.statistics import QueryRecord, StatisticsManager
-from repro.errors import (
-    ConfigurationError,
-    ProtocolError,
-    ServerError,
-    ShardWorkerError,
-)
+from repro.errors import ConfigurationError, ServerError, ShardWorkerError
 from repro.graph.graph import Graph
 from repro.methods.base import MethodM
 from repro.obs.logs import get_logger
 from repro.obs.recorder import get_recorder
-from repro.obs.trace import TRACE_KEY, TraceContext
 from repro.query_model import Query, QueryType
 from repro.runtime.config import GCConfig
 from repro.runtime.report import QueryReport
-from repro.sharding.worker import report_from_wire, worker_main
+from repro.sharding.worker import worker_main
 
 logger = get_logger("sharding.process")
 
-#: Seconds a spawned worker gets to build its index and report its port.
+#: Seconds a spawned worker gets to build its index and say it is ready.
 DEFAULT_STARTUP_TIMEOUT = 120.0
 
 #: Per-request timeout against a worker (generous: a shard query is the
-#: same work an in-process shard would do, plus loopback framing).
+#: same work an in-process shard would do, plus pickling).
 DEFAULT_REQUEST_TIMEOUT = 300.0
 
 
 class _WorkerHandle:
-    """One live worker: its process, its port, its pinned-v2 client pool."""
+    """One live worker: its process, its pipe and the calls awaiting replies."""
 
-    __slots__ = ("index", "process", "port", "service", "describe")
-
-    def __init__(self, index: int, process, port: int,
-                 service: AsyncRemoteGraphService, describe: dict) -> None:
+    def __init__(self, index: int, process, conn, describe: dict) -> None:
         self.index = index
         self.process = process
-        self.port = port
-        self.service = service
+        #: Kept past ``close()``, which releases the process object.
+        self.pid = process.pid
+        self.conn = conn
         self.describe = describe
+        self._send_lock = threading.Lock()
+        self._pending: dict[int, Future] = {}
+        self._pending_lock = threading.Lock()
+        self._request_ids = itertools.count()
+        self._lost = False
+        self._receiver = threading.Thread(
+            target=self._receive, name=f"gc-procshard-recv-{index}", daemon=True
+        )
+        self._receiver.start()
+
+    def submit(self, op: str, payload=None) -> Future:
+        """Send one request frame; the future resolves with the worker's reply."""
+        future: Future = Future()
+        with self._pending_lock:
+            if self._lost:
+                raise EOFError(f"shard {self.index} worker pipe is closed")
+            request_id = next(self._request_ids)
+            self._pending[request_id] = future
+        try:
+            with self._send_lock:
+                self.conn.send((request_id, op, payload))
+        except BaseException:
+            with self._pending_lock:
+                self._pending.pop(request_id, None)
+            raise
+        return future
+
+    def _receive(self) -> None:
+        try:
+            while True:
+                request_id, ok, result = self.conn.recv()
+                with self._pending_lock:
+                    future = self._pending.pop(request_id, None)
+                if future is None:
+                    continue
+                if ok:
+                    future.set_result(result)
+                else:
+                    future.set_exception(ErrorEnvelope.from_wire(result).to_exception())
+        except Exception as exc:  # EOF/OSError once the worker is gone
+            with self._pending_lock:
+                self._lost = True
+                pending, self._pending = self._pending, {}
+            for future in pending.values():
+                future.set_exception(EOFError(
+                    f"shard {self.index} worker pipe closed ({type(exc).__name__})"
+                ))
+
+    def close(self) -> None:
+        """Release the pipe; the worker process must already have exited."""
+        self._receiver.join(timeout=5.0)
+        self.conn.close()
 
 
 class _RemoteMethodInfo:
@@ -130,26 +178,17 @@ class ProcessShardBackend:
         self._lock = threading.Lock()
         self._closed = False
 
-        #: One event loop on a dedicated thread carries every worker's
-        #: connection pool; proxy threads submit coroutines onto it.
-        self._loop = asyncio.new_event_loop()
-        self._loop_thread = threading.Thread(
-            target=self._loop.run_forever, name="gc-procshard-loop", daemon=True
-        )
-        self._loop_thread.start()
-
         self._handles: list[_WorkerHandle] = []
+        started: list = []
         try:
             # start every worker first, then collect handshakes: startup
             # (imports + index build) overlaps across workers
-            started = [self._start_process(index)
-                       for index in range(len(self._dataset_payloads))]
-            for index, (process, ready) in enumerate(started):
-                port, describe = self._await_ready(index, process, ready)
-                self._handles.append(self._make_handle(index, process, port, describe))
+            for index in range(len(self._dataset_payloads)):
+                started.append(self._start_process(index))
+            for index, (process, conn) in enumerate(started):
+                self._handles.append(self._await_ready(index, process, conn))
         except Exception:
-            self._teardown(started=self._handles,
-                           raw=started[len(self._handles):] if started else [])
+            self._teardown(started, self._handles)
             raise
 
         self.clients = [
@@ -161,10 +200,10 @@ class ProcessShardBackend:
     # worker lifecycle
     # ------------------------------------------------------------------ #
     def _start_process(self, index: int):
-        ready_recv, ready_send = self._ctx.Pipe(duplex=False)
+        conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_main,
-            args=(ready_send, self._dataset_payloads[index],
+            args=(child_conn, self._dataset_payloads[index],
                   self._config_payload, index, self._method_factory),
             name=f"gc-shard-worker-{index}",
             daemon=True,
@@ -172,7 +211,7 @@ class ProcessShardBackend:
         try:
             process.start()
         except Exception as exc:
-            ready_recv.close()
+            conn.close()
             raise ConfigurationError(
                 f"failed to spawn shard {index} worker: {exc} — a process "
                 "backend ships its method factory to the child by pickling, "
@@ -180,65 +219,48 @@ class ProcessShardBackend:
                 "config-driven default)"
             ) from exc
         finally:
-            ready_send.close()  # the child holds the write end now
-        return process, ready_recv
+            child_conn.close()  # the child holds its end now
+        return process, conn
 
-    def _await_ready(self, index: int, process, ready) -> tuple[int, dict]:
+    def _await_ready(self, index: int, process, conn) -> _WorkerHandle:
+        if not conn.poll(self._startup_timeout):
+            raise ShardWorkerError(
+                index, f"startup handshake timed out after {self._startup_timeout}s"
+            )
         try:
-            if not ready.poll(self._startup_timeout):
-                raise ShardWorkerError(
-                    index, f"startup handshake timed out after {self._startup_timeout}s"
-                )
-            try:
-                payload = ready.recv()
-            except (EOFError, OSError) as exc:
-                raise ShardWorkerError(
-                    index, f"worker died during startup ({type(exc).__name__})"
-                ) from exc
-        finally:
-            ready.close()
-        if not isinstance(payload, dict) or "port" not in payload:
+            payload = conn.recv()
+        except (EOFError, OSError) as exc:
+            raise ShardWorkerError(
+                index, f"worker died during startup ({type(exc).__name__})"
+            ) from exc
+        if not isinstance(payload, dict) or "describe" not in payload:
             reason = payload.get("error") if isinstance(payload, dict) else repr(payload)
             raise ShardWorkerError(index, f"worker failed to start: {reason}")
-        return int(payload["port"]), dict(payload.get("describe") or {})
-
-    def _make_handle(self, index: int, process, port: int, describe: dict) -> _WorkerHandle:
-        service = AsyncRemoteGraphService(
-            "127.0.0.1", port,
-            timeout=self._request_timeout,
-            max_connections=64,
-            protocol_version=2,  # workers are always v2-capable: skip /protocol
-        )
-        return _WorkerHandle(index, process, port, service, describe)
+        return _WorkerHandle(index, process, conn, dict(payload["describe"] or {}))
 
     def describe_payload(self, index: int) -> dict:
         """The handshake describe payload of shard ``index``'s worker."""
         return dict(self._handles[index].describe)
 
     # ------------------------------------------------------------------ #
-    # transport (proxy threads → event loop → workers)
+    # transport
     # ------------------------------------------------------------------ #
-    def _submit(self, coroutine, timeout: float | None = None):
-        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-        return future.result(timeout=timeout)
-
-    def call(self, index: int, method: str, path: str,
-             body: dict | None = None) -> tuple[int, dict]:
+    def call(self, index: int, op: str, payload=None):
         """One request to shard ``index``'s worker, with crash recovery.
 
         A transport failure against a *dead* worker spends respawn budget,
-        brings up a cold replacement and retries the request there (all the
-        endpoints driven through here are answer-safe to re-execute); a
-        transport failure against a live worker propagates — the async pool
-        already retried stale keep-alive connections once, and timeouts must
-        never re-run a query that may still be executing.
+        brings up a cold replacement and re-issues the request there (every
+        op is answer-safe to re-execute, and a lost reply means the whole
+        request is re-run, so a crash can neither drop nor duplicate an
+        answer); a timeout against a live worker propagates — a query that
+        may still be executing is never re-run.
         """
         attempts = 0
         while True:
             handle = self._handle(index)
             try:
-                return self._submit(handle.service.request(method, path, body))
-            except TimeoutError as exc:
+                return handle.submit(op, payload).result(timeout=self._request_timeout)
+            except CallTimeoutError as exc:
                 if handle.process.is_alive():
                     raise
                 self._recover(index, handle, "worker died mid-request", cause=exc)
@@ -248,82 +270,6 @@ class ProcessShardBackend:
             if attempts > self._respawn_limit + 1:  # pragma: no cover - safety net
                 raise ShardWorkerError(index, "worker kept failing after respawn",
                                        self.respawns_performed)
-
-    def admin(self, index: int, path: str, body: dict | None = None) -> dict:
-        """POST an admin endpoint and insist on a 200 payload."""
-        status, payload = self.call(index, "POST", path, body or {})
-        if status != 200:
-            raise ServerError(f"shard {index} {path} replied {status}: {payload}")
-        return payload
-
-    def describe(self, index: int) -> dict:
-        """A *live* describe of shard ``index``'s worker (memory, cache)."""
-        status, payload = self.call(index, "GET", "/describe")
-        if status != 200:
-            raise ServerError(f"shard {index} /describe replied {status}: {payload}")
-        return payload
-
-    def query(self, index: int, body: dict) -> tuple[int, dict]:
-        """POST one query envelope to shard ``index``."""
-        return self.call(index, "POST", "/query", body)
-
-    def query_batch(self, index: int, bodies: list[dict],
-                    concurrency: int) -> list[tuple[int, dict]]:
-        """POST a batch concurrently; outcomes return in submission order.
-
-        On a worker crash mid-batch, only the failed positions are re-issued
-        against the respawned worker — completed answers are kept exactly
-        once, so a crash can neither drop nor duplicate an answer.
-        """
-        results: list[tuple[int, dict] | None] = [None] * len(bodies)
-        pending = list(range(len(bodies)))
-        attempts = 0
-        while pending:
-            handle = self._handle(index)
-            outcomes = self._submit(
-                self._gather(handle.service, [bodies[i] for i in pending], concurrency)
-            )
-            failed: list[int] = []
-            first_failure: BaseException | None = None
-            for position, outcome in zip(pending, outcomes):
-                if isinstance(outcome, BaseException):
-                    # NB: TimeoutError subclasses OSError — classify it first
-                    if isinstance(outcome, TimeoutError) and handle.process.is_alive():
-                        raise outcome
-                    if isinstance(outcome, (OSError, EOFError)):
-                        failed.append(position)
-                        if first_failure is None:
-                            first_failure = outcome
-                    else:
-                        raise outcome
-                else:
-                    results[position] = outcome
-            if not failed:
-                break
-            self._recover(
-                index, handle,
-                f"worker lost {len(failed)} in-flight queries "
-                f"({type(first_failure).__name__})",
-                cause=first_failure,
-            )
-            pending = failed
-            attempts += 1
-            if attempts > self._respawn_limit + 1:  # pragma: no cover - safety net
-                raise ShardWorkerError(index, "worker kept failing after respawn",
-                                       self.respawns_performed)
-        return results  # type: ignore[return-value]
-
-    @staticmethod
-    async def _gather(service: AsyncRemoteGraphService, bodies: list[dict],
-                      concurrency: int):
-        gate = asyncio.Semaphore(max(1, concurrency))
-
-        async def one(body: dict):
-            async with gate:
-                return await service.request("POST", "/query", body)
-
-        return await asyncio.gather(*(one(body) for body in bodies),
-                                    return_exceptions=True)
 
     # ------------------------------------------------------------------ #
     # crash recovery
@@ -361,14 +307,13 @@ class ProcessShardBackend:
                     self.respawns_performed,
                 ) from cause
             self._respawns_left[index] -= 1
-            self._close_service(failed_handle.service)
-            replacement, ready = self._start_process(index)
+            failed_handle.close()
+            replacement, conn = self._start_process(index)
             try:
-                port, describe = self._await_ready(index, replacement, ready)
+                self._handles[index] = self._await_ready(index, replacement, conn)
             except ShardWorkerError:
-                replacement.terminate()
+                self._teardown([(replacement, conn)], [])
                 raise
-            self._handles[index] = self._make_handle(index, replacement, port, describe)
             self.respawns_performed += 1
             logger.warning(
                 "shard %d worker respawned after crash (%s); "
@@ -380,87 +325,64 @@ class ProcessShardBackend:
     # observability
     # ------------------------------------------------------------------ #
     def liveness(self) -> list[dict]:
-        """One row per worker: alive/pid/port plus respawn accounting."""
+        """One row per worker: alive/pid plus respawn accounting."""
         with self._lock:
             handles = list(self._handles)
             respawns_left = list(self._respawns_left)
+            closed = self._closed
         return [
             {
                 "shard": handle.index,
                 "backend": "process",
-                "alive": handle.process.is_alive(),
-                "pid": handle.process.pid,
-                "port": handle.port,
+                "alive": not closed and handle.process.is_alive(),
+                "pid": handle.pid,
                 "respawns": self._respawn_limit - respawns_left[handle.index],
                 "respawns_left": respawns_left[handle.index],
             }
             for handle in handles
         ]
 
-    def pool_stats(self) -> list[dict]:
-        """Per-worker async connection-pool telemetry (``shard`` stamped in)."""
-        with self._lock:
-            handles = list(self._handles)
-        stats = []
-        for handle in handles:
-            payload = dict(handle.service.pool_stats())
-            payload["shard"] = handle.index
-            stats.append(payload)
-        return stats
-
     # ------------------------------------------------------------------ #
     # shutdown
     # ------------------------------------------------------------------ #
-    def _close_service(self, service: AsyncRemoteGraphService) -> None:
-        try:
-            self._submit(service.aclose(), timeout=5.0)
-        except Exception:  # pragma: no cover - best-effort socket teardown
-            pass
-
-    def _teardown(self, started: list[_WorkerHandle], raw: list) -> None:
-        """Startup-failure cleanup: kill everything already running."""
-        for handle in started:
-            self._close_service(handle.service)
-            handle.process.terminate()
-        for process, ready in raw:
-            try:
-                ready.close()
-            except Exception:
-                pass
+    @staticmethod
+    def _teardown(started: list, handles: list[_WorkerHandle]) -> None:
+        """Startup-failure cleanup: stop every worker that did start."""
+        for process, _ in started:
             process.terminate()
-        for handle in started:
-            handle.process.join(timeout=2.0)
-        for process, _ in raw:
+        for process, _ in started:
             process.join(timeout=2.0)
-        self._stop_loop()
-
-    def _stop_loop(self) -> None:
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._loop_thread.join(timeout=5.0)
-        self._loop.close()
+        for handle in handles:
+            handle.close()
+        for _, conn in started:
+            conn.close()
 
     def close(self) -> None:
-        """Drain and join every worker: shutdown → join → terminate."""
+        """Drain and join every worker: shutdown → join → kill."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             handles = list(self._handles)
+        acks = []
         for handle in handles:
             try:
-                self._submit(
-                    handle.service.request("POST", "/admin/shutdown", {}),
-                    timeout=5.0,
-                )
+                acks.append(handle.submit("shutdown"))
             except Exception:
-                pass  # a dead worker cannot drain; terminate below
+                pass  # a dead worker cannot drain; it is reaped below
+        for ack in acks:
+            try:
+                ack.result(timeout=5.0)
+            except Exception:
+                pass
         for handle in handles:
-            handle.process.join(timeout=5.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=2.0)
-            self._close_service(handle.service)
-        self._stop_loop()
+            process = handle.process
+            process.join(timeout=5.0)
+            if process.is_alive():
+                process.kill()
+                process.join()
+            handle.close()
+            process.close()
 
 
 class ProcessShardClient:
@@ -491,42 +413,36 @@ class ProcessShardClient:
             return query
         return Query(graph=query, query_type=QueryType.parse(query_type))
 
-    def _wire(self, query: Query) -> dict:
+    @staticmethod
+    def _wire(query: Query) -> Query:
         # the live ScatterPlan stashed by cost-based admission is a
-        # coordinator-side object; everything else in metadata is JSON.
-        # The trace carrier is lifted onto the envelope's own "trace"
-        # section — this is the loopback hop the trace context must survive
+        # coordinator-side object; the rest of the metadata, the trace
+        # carrier included, crosses the pipe as it is
         metadata = {key: value for key, value in query.metadata.items()
-                    if key not in ("scatter_plan", TRACE_KEY)}
-        trace = TraceContext.from_wire(query.metadata.get(TRACE_KEY))
-        request = QueryRequest(graph=query.graph, query_type=query.query_type,
-                               metadata=metadata, request_id=query.query_id,
-                               trace=trace)
-        return request.to_wire(2)
+                    if key != "scatter_plan"}
+        return Query(graph=query.graph, query_type=query.query_type,
+                     query_id=query.query_id, metadata=metadata)
 
-    def _report_from(self, query: Query, status: int, payload: dict) -> QueryReport:
-        outcome = parse_response(payload, http_status=status)
-        if isinstance(outcome, ErrorEnvelope):
-            raise outcome.to_exception()
-        section = wire_result(payload).get("report")
-        if not isinstance(section, dict):
-            raise ProtocolError(
-                f"shard {self.index} worker response carries no 'report' section"
-            )
-        report = report_from_wire(query, section)
-        if report.spans:
-            # the worker recorded these in *its* process; replay them into
-            # the coordinator's recorder so the tree is whole on this side
-            get_recorder().record_many(report.spans)
-        return report
+    def _execute(self, queries: list[Query], query_type: QueryType | str,
+                 max_workers: int) -> list[QueryReport]:
+        reports = self._backend.call(
+            self.index, "query",
+            ([self._wire(query) for query in queries], query_type, max_workers),
+        )
+        for query, report in zip(queries, reports):
+            report.query = query
+            if report.spans:
+                # the worker recorded these in *its* process; replay them into
+                # the coordinator's recorder so the tree is whole on this side
+                get_recorder().record_many(report.spans)
+            # mirror records in submission order, matching the thread
+            # backend's post-batch statistics reorder
+            self.statistics.record(QueryRecord.from_report(report))
+        return reports
 
     def run_query(self, query: Query | Graph,
                   query_type: QueryType | str = QueryType.SUBGRAPH) -> QueryReport:
-        query = self._as_query(query, query_type)
-        status, payload = self._backend.query(self.index, self._wire(query))
-        report = self._report_from(query, status, payload)
-        self.statistics.record(QueryRecord.from_report(report))
-        return report
+        return self._execute([self._as_query(query, query_type)], query_type, 1)[0]
 
     def run_queries(self, queries, query_type: QueryType | str = QueryType.SUBGRAPH):
         return [self.run_query(query, query_type) for query in queries]
@@ -540,53 +456,33 @@ class ProcessShardClient:
         workers = self.config.max_workers if max_workers is None else max_workers
         if workers < 1:
             raise ConfigurationError("max_workers must be at least 1")
-        outcomes = self._backend.query_batch(
-            self.index, [self._wire(query) for query in query_list], workers
-        )
-        reports = [
-            self._report_from(query, status, payload)
-            for query, (status, payload) in zip(query_list, outcomes)
-        ]
-        # mirror records in submission order, matching the thread backend's
-        # post-batch statistics reorder
-        for report in reports:
-            self.statistics.record(QueryRecord.from_report(report))
-        return reports
+        return self._execute(query_list, query_type, workers)
 
     # -- shard lifecycle hooks ------------------------------------------ #
     def flush_window(self) -> None:
-        self._backend.admin(self.index, "/admin/flush-window")
+        self._backend.call(self.index, "flush-window")
 
     def reset_remote_statistics(self) -> None:
-        self._backend.admin(self.index, "/admin/reset-statistics")
+        self._backend.call(self.index, "reset-statistics")
 
     def save_snapshot(self, path) -> int:
-        payload = self._backend.admin(self.index, "/admin/snapshot/save",
-                                      {"path": str(path)})
-        return int(payload.get("entries", 0))
+        return int(self._backend.call(self.index, "snapshot-save", str(path)))
 
     def restore_snapshot(self, path) -> int:
-        payload = self._backend.admin(self.index, "/admin/snapshot/restore",
-                                      {"path": str(path)})
-        return int(payload.get("entries", 0))
+        return int(self._backend.call(self.index, "snapshot-restore", str(path)))
 
     # -- observability --------------------------------------------------- #
     def remote_describe(self) -> dict:
-        """A live ``/describe`` of the worker (cache population, memory)."""
-        return self._backend.describe(self.index)
+        """A live describe of the worker (cache population, memory)."""
+        return self._backend.call(self.index, "describe")
 
     def registry_snapshot(self) -> dict:
         """The worker's own :class:`MetricsRegistry` snapshot (for fan-in)."""
-        status, payload = self._backend.call(self.index, "GET", "/obs/registry")
-        if status != 200:
-            raise ServerError(
-                f"shard {self.index} /obs/registry replied {status}: {payload}"
-            )
-        return payload
+        return self._backend.call(self.index, "registry")
 
     def drain_logs(self) -> dict:
         """Pop the worker's buffered warning/error log entries."""
-        return self._backend.admin(self.index, "/admin/logs/drain")
+        return self._backend.call(self.index, "drain-logs")
 
     def cache_memory_bytes(self) -> int:
         try:

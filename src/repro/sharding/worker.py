@@ -1,302 +1,181 @@
-"""Shard worker process: one unsharded GraphCacheSystem behind v2 envelopes.
+"""Shard worker process: one unsharded GraphCacheSystem behind a pipe.
 
 The process shard backend spawns one of these per shard
 (``multiprocessing`` *spawn* context — no inherited locks or sockets, the
 worker rebuilds everything from serialised payloads).  Each worker hosts its
 own :class:`~repro.runtime.system.GraphCacheSystem` over its partition —
-its own Method M index, its own thread-safe cache, its own admission window
-— and fronts it with a minimal loopback HTTP app speaking **the same v2
-envelope protocol** as the public query server (``GET /protocol``
-negotiation, :func:`~repro.api.envelopes.parse_request`, taxonomy-classified
-:class:`~repro.api.envelopes.ErrorEnvelope` on failure).  The coordinator
-therefore needs no new wire format: it reuses the async client pool as
-transport.
+its own Method M index, its own thread-safe cache, its own admission window.
 
-The one addition over the public surface: a shard worker's ``POST /query``
-success payload carries the *full* :class:`~repro.runtime.report.QueryReport`
-(journey sets included) under ``result["report"]``, because the coordinator
-must gather per-shard reports to run the scatter-gather merge — the public
-:class:`QueryResponse` only summarises them.  The section is additive, so
-the payload still parses as a plain v2 response.
+Its only channel is the duplex pipe it was spawned with, which nothing but
+the coordinator can reach.  The first message on it is the ready handshake
+(``{"describe": ...}``, or ``{"error": ...}`` when startup failed); every
+later message is a request frame ``(request_id, op, payload)`` answered by
+``(request_id, ok, result)``:
 
-``/admin/*`` endpoints cover the shard lifecycle the in-process backend gets
-for free: window flush (warm-up), statistics reset, snapshot save/restore
-(worker-side file I/O — coordinator and workers share a filesystem), and
-graceful shutdown.
+* ``query`` — ``(queries, query_type, max_workers)`` runs through
+  :meth:`GraphCacheSystem.run_queries_concurrent`, the very call an
+  in-process shard gets, and answers with the full pickled
+  :class:`~repro.runtime.report.QueryReport` list (journey sets, stage
+  timings, spans) the coordinator's scatter-gather merge consumes;
+* ``flush-window``, ``reset-statistics``, ``snapshot-save`` /
+  ``snapshot-restore`` (a path; worker-side file I/O — coordinator and
+  workers share a filesystem), ``describe``, ``registry`` and
+  ``drain-logs`` — the lifecycle and telemetry an in-process shard gets for
+  free;
+* ``shutdown`` — finish the in-flight ops, acknowledge, exit.
+
+A failed op answers ``ok=False`` with an
+:class:`~repro.api.envelopes.ErrorEnvelope` wire dict, so the coordinator
+re-raises the same typed exception.  Frames are multiplexed: one receive
+loop hands ops to a small thread pool and replies leave under a send lock,
+so a hedge or a metrics scrape never waits behind a running batch.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from concurrent.futures import ThreadPoolExecutor
 
-from repro import __version__
-from repro.api.envelopes import (
-    PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
-    ErrorEnvelope,
-    MetricsSnapshot,
-    QueryResponse,
-    parse_request,
-)
+from repro.api.envelopes import ErrorEnvelope
 from repro.cache.statistics import json_safe
+from repro.errors import ProtocolError
 from repro.obs.collectors import recorder_samples, system_samples
 from repro.obs.logs import BufferedLogHandler, current_trace_id, get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import get_recorder
-from repro.obs.trace import TRACE_KEY, Span
-from repro.query_model import Query
+from repro.obs.trace import TRACE_KEY
+from repro.query_model import Query, QueryType
 from repro.runtime.config import GCConfig
-from repro.runtime.report import QueryReport
 from repro.runtime.system import GraphCacheSystem
 
 logger = get_logger("sharding.worker")
 
+#: Ops one worker runs at once.  The scatter pool sends a shard at most a
+#: primary and a hedge batch; the rest keeps admin ops (scrapes, log
+#: drains, describes) from queueing behind them.
+OP_THREADS = 8
 
-# ---------------------------------------------------------------------- #
-# full-report wire serialisation (the additive ``result["report"]`` section)
-# ---------------------------------------------------------------------- #
-def report_to_wire(report: QueryReport) -> dict:
-    """Serialise every :class:`QueryReport` field the merge consumes.
 
-    Journey sets travel as sorted lists (graph ids are ints or strings —
-    JSON-native either way); hit entries are cache entry ids (ints).
+class ShardWorkerSystem(GraphCacheSystem):
+    """A worker's engine: every query counted, and attributed to its shard.
+
+    :meth:`run_queries_concurrent` funnels each query through
+    :meth:`run_query`, so overriding it alone stamps the trace carrier's
+    ``shard`` (pipeline spans name their shard) and sets the log trace id
+    (forwarded log lines keep it) for every query of a batch.
     """
-    return json_safe({
-        "exact_hit_entry": report.exact_hit_entry,
-        "sub_hit_entries": list(report.sub_hit_entries),
-        "super_hit_entries": list(report.super_hit_entries),
-        "method_candidates": sorted(report.method_candidates, key=repr),
-        "guaranteed_answers": sorted(report.guaranteed_answers, key=repr),
-        "guaranteed_non_answers": sorted(report.guaranteed_non_answers, key=repr),
-        "verified_candidates": sorted(report.verified_candidates, key=repr),
-        "verified_answers": sorted(report.verified_answers, key=repr),
-        "answer": sorted(report.answer, key=repr),
-        "cache_population": report.cache_population,
-        "dataset_tests": report.dataset_tests,
-        "probe_tests": report.probe_tests,
-        "filter_seconds": report.filter_seconds,
-        "probe_seconds": report.probe_seconds,
-        "verify_seconds": report.verify_seconds,
-        "total_seconds": report.total_seconds,
-        "baseline_tests": report.baseline_tests,
-        "baseline_seconds": report.baseline_seconds,
-        "stage_seconds": dict(report.stage_seconds),
-        # additive: the worker-side span subtree of a traced query, so the
-        # coordinator's recorder sees one coherent cross-process tree
-        "spans": [span.to_dict() for span in report.spans],
-    })
 
-
-def report_from_wire(query: Query, payload: dict) -> QueryReport:
-    """Rebuild the shard's :class:`QueryReport` around the coordinator's query."""
-    return QueryReport(
-        query=query,
-        exact_hit_entry=payload.get("exact_hit_entry"),
-        sub_hit_entries=list(payload.get("sub_hit_entries", [])),
-        super_hit_entries=list(payload.get("super_hit_entries", [])),
-        method_candidates=set(payload.get("method_candidates", [])),
-        guaranteed_answers=set(payload.get("guaranteed_answers", [])),
-        guaranteed_non_answers=set(payload.get("guaranteed_non_answers", [])),
-        verified_candidates=set(payload.get("verified_candidates", [])),
-        verified_answers=set(payload.get("verified_answers", [])),
-        answer=set(payload.get("answer", [])),
-        cache_population=int(payload.get("cache_population", 0)),
-        dataset_tests=int(payload.get("dataset_tests", 0)),
-        probe_tests=int(payload.get("probe_tests", 0)),
-        filter_seconds=float(payload.get("filter_seconds", 0.0)),
-        probe_seconds=float(payload.get("probe_seconds", 0.0)),
-        verify_seconds=float(payload.get("verify_seconds", 0.0)),
-        total_seconds=float(payload.get("total_seconds", 0.0)),
-        baseline_tests=int(payload.get("baseline_tests", 0)),
-        baseline_seconds=payload.get("baseline_seconds"),
-        stage_seconds=dict(payload.get("stage_seconds", {})),
-        spans=[Span.from_dict(span) for span in payload.get("spans", [])
-               if isinstance(span, dict)],
-    )
-
-
-# ---------------------------------------------------------------------- #
-# the worker HTTP app
-# ---------------------------------------------------------------------- #
-class _WorkerHTTPServer(ThreadingHTTPServer):
-    """Loopback transport: one thread per coordinator connection."""
-
-    daemon_threads = True
-    request_queue_size = 128
-
-
-class ShardWorkerApp:
-    """HTTP-agnostic request handling for one shard worker."""
-
-    def __init__(self, system: GraphCacheSystem, shard_index: int,
-                 log_handler: BufferedLogHandler | None = None) -> None:
-        self.system = system
+    def __init__(self, dataset, config: GCConfig, method, shard_index: int) -> None:
+        super().__init__(dataset, config, method=method)
         self.shard_index = shard_index
-        #: The worker's buffered warning/error log, drained by the
-        #: coordinator over ``POST /admin/logs/drain``.
-        self.log_handler = log_handler
         #: This worker's own telemetry registry, fanned into the
         #: coordinator's text exposition under a ``shard`` label.
         self.registry = MetricsRegistry()
         self._requests = self.registry.counter(
-            "worker_requests_total", help="Envelope queries served by this worker")
+            "worker_requests_total", help="Queries served by this worker")
         self._request_errors = self.registry.counter(
-            "worker_request_errors_total", help="Envelope queries that failed")
+            "worker_request_errors_total", help="Queries that failed")
         self._latency = self.registry.histogram(
             "worker_query_seconds", help="Worker-side query latency")
-        self.registry.register_collector(lambda: system_samples(self.system))
+        self.registry.register_collector(lambda: system_samples(self))
         self.registry.register_collector(lambda: recorder_samples(get_recorder()))
 
-    def describe(self) -> dict:
-        """Everything the coordinator mirrors about this worker's system."""
-        payload = {
-            "shard": self.shard_index,
-            "method_name": self.system.method.name,
-            "method": self.system.method.describe(),
-            "dataset_size": len(self.system.dataset),
-            "cache": (self.system.cache.describe()
-                      if self.system.cache is not None else None),
-            "cache_memory_bytes": self.system.cache_memory_bytes(),
-            "index_memory_bytes": self.system.index_memory_bytes(),
-        }
-        return json_safe(payload)
-
-    def protocol(self) -> dict:
-        return {
-            "versions": list(SUPPORTED_VERSIONS),
-            "preferred": PROTOCOL_VERSION,
-            "server": f"GraphCacheShardWorker/{__version__}",
-        }
-
-    def serve_query(self, payload: dict) -> tuple[int, dict]:
-        """Execute one envelope query; success carries the full report."""
-        try:
-            request, version = parse_request(payload)
-        except Exception as exc:
-            self._request_errors.inc()
-            envelope = ErrorEnvelope.from_exception(exc)
-            return envelope.http_status, envelope.to_wire(PROTOCOL_VERSION)
-        self._requests.inc()
-        query = request.to_query()
+    def run_query(self, query: Query, query_type: QueryType | str = QueryType.SUBGRAPH):
         carrier = query.metadata.get(TRACE_KEY)
         trace_token = None
         if isinstance(carrier, dict):
-            # attribute this shard's pipeline spans and log lines to itself
             carrier["shard"] = self.shard_index
             trace_token = current_trace_id.set(str(carrier.get("trace_id") or "") or None)
+        self._requests.inc()
         started = time.perf_counter()
         try:
-            report = self.system.run_query(query)
+            return super().run_query(query, query_type)
         except Exception as exc:
             self._request_errors.inc()
             logger.error("shard %d query failed: %s: %s",
                          self.shard_index, type(exc).__name__, exc)
-            envelope = ErrorEnvelope.from_exception(exc, request_id=request.request_id)
-            return envelope.http_status, envelope.to_wire(version)
+            raise
         finally:
             self._latency.observe(time.perf_counter() - started)
             if trace_token is not None:
                 current_trace_id.reset(trace_token)
-        response = QueryResponse.from_report(report, request_id=request.request_id)
-        wire = response.to_wire(version)
-        if version >= 2:
-            wire["result"]["report"] = report_to_wire(report)
-        return 200, wire
-
-    def admin(self, path: str, payload: dict) -> tuple[int, dict]:
-        """Shard lifecycle endpoints the coordinator drives."""
-        if path == "/admin/flush-window":
-            self.system.flush_window()
-            return 200, {"ok": True}
-        if path == "/admin/reset-statistics":
-            self.system.statistics.reset()
-            return 200, {"ok": True}
-        if path == "/admin/snapshot/save":
-            target = payload.get("path")
-            if not isinstance(target, str) or not target:
-                return 400, {"error": "'path' must be a non-empty string"}
-            return 200, {"entries": self.system.save_snapshot(target)}
-        if path == "/admin/snapshot/restore":
-            target = payload.get("path")
-            if not isinstance(target, str) or not target:
-                return 400, {"error": "'path' must be a non-empty string"}
-            return 200, {"entries": self.system.restore_snapshot(target)}
-        if path == "/admin/logs/drain":
-            if self.log_handler is None:
-                return 200, {"entries": [], "dropped": 0}
-            return 200, self.log_handler.drain()
-        return 404, {"error": f"unknown path {path!r}"}
 
 
-def _make_handler(app: ShardWorkerApp, httpd: _WorkerHTTPServer) -> type[BaseHTTPRequestHandler]:
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"  # keep-alive: the pool reuses connections
-        server_version = f"GraphCacheShardWorker/{__version__}"
-        # headers and body flush as separate small writes; without NODELAY,
-        # Nagle + delayed ACK stalls every response ~40ms even on loopback
-        disable_nagle_algorithm = True
+class ShardWorker:
+    """Answers the coordinator's request frames for one shard."""
 
-        def do_POST(self) -> None:
+    def __init__(self, system: ShardWorkerSystem, log_handler: BufferedLogHandler) -> None:
+        self.system = system
+        #: The worker's buffered warning/error log, drained by the
+        #: coordinator with the ``drain-logs`` op.
+        self.log_handler = log_handler
+
+    def describe(self) -> dict:
+        """Everything the coordinator mirrors about this worker's system."""
+        system = self.system
+        return json_safe({
+            "shard": system.shard_index,
+            "method_name": system.method.name,
+            "method": system.method.describe(),
+            "dataset_size": len(system.dataset),
+            "cache": system.cache.describe() if system.cache is not None else None,
+            "cache_memory_bytes": system.cache_memory_bytes(),
+            "index_memory_bytes": system.index_memory_bytes(),
+        })
+
+    def run_op(self, op: str, payload):
+        system = self.system
+        if op == "query":
+            queries, query_type, max_workers = payload
+            return system.run_queries_concurrent(queries, query_type, max_workers)
+        if op == "flush-window":
+            return system.flush_window()
+        if op == "reset-statistics":
+            return system.statistics.reset()
+        if op == "snapshot-save":
+            return system.save_snapshot(payload)
+        if op == "snapshot-restore":
+            return system.restore_snapshot(payload)
+        if op == "describe":
+            return self.describe()
+        if op == "registry":
+            return system.registry.snapshot()
+        if op == "drain-logs":
+            return self.log_handler.drain()
+        raise ProtocolError(f"unknown shard worker op {op!r}")
+
+    def serve(self, conn) -> None:
+        """Answer frames until ``shutdown`` or until the coordinator is gone."""
+        send_lock = threading.Lock()
+
+        def answer(request_id: int, op: str, payload) -> None:
             try:
-                length = int(self.headers.get("Content-Length", "0"))
-                raw = self.rfile.read(length)
-            except ValueError:
-                self._reply(400, {"error": "bad Content-Length header"})
-                return
-            try:
-                payload = json.loads(raw or b"{}")
-            except json.JSONDecodeError as exc:
-                self._reply(400, {"error": f"malformed JSON body: {exc}"})
-                return
-            if not isinstance(payload, dict):
-                payload = {}
-            if self.path == "/query":
-                status, body = app.serve_query(payload)
-            elif self.path == "/admin/shutdown":
-                # reply first, then stop serve_forever off-thread (shutdown
-                # from a handler thread would deadlock the serve loop)
-                status, body = 200, {"ok": True}
-                threading.Thread(target=httpd.shutdown, daemon=True).start()
-            elif self.path.startswith("/admin/"):
-                status, body = app.admin(self.path, payload)
-            else:
-                status, body = 404, {"error": f"unknown path {self.path!r}"}
-            self._reply(status, body)
+                reply = (request_id, True, self.run_op(op, payload))
+            except Exception as exc:
+                reply = (request_id, False, ErrorEnvelope.from_exception(exc).to_wire())
+            with send_lock:
+                try:
+                    conn.send(reply)
+                except OSError:
+                    pass  # the coordinator is gone; the receive loop ends too
 
-        def do_GET(self) -> None:
-            if self.path == "/protocol":
-                self._reply(200, app.protocol())
-            elif self.path == "/health":
-                self._reply(200, {"status": "ok", "shard": app.shard_index})
-            elif self.path == "/describe":
-                self._reply(200, app.describe())
-            elif self.path == "/metrics":
-                self._reply(200, MetricsSnapshot.from_system(app.system).to_wire())
-            elif self.path == "/obs/registry":
-                self._reply(200, app.registry.snapshot())
-            else:
-                self._reply(404, {"error": f"unknown path {self.path!r}"})
-
-        def _reply(self, status: int, payload: dict) -> None:
-            body = json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, format: str, *args) -> None:  # noqa: A002
-            pass  # the coordinator accounts requests; workers stay silent
-
-    return Handler
+        with ThreadPoolExecutor(max_workers=OP_THREADS,
+                                thread_name_prefix="gc-worker-op") as pool:
+            while True:
+                try:
+                    request_id, op, payload = conn.recv()
+                except (EOFError, OSError):
+                    return  # the coordinator is gone: finish in-flight ops, exit
+                if op == "shutdown":
+                    break
+                pool.submit(answer, request_id, op, payload)
+        conn.send((request_id, True, None))  # every in-flight op has replied
 
 
 def worker_main(
-    ready,
+    conn,
     dataset_payload: list[dict],
     config_payload: dict,
     shard_index: int,
@@ -306,11 +185,11 @@ def worker_main(
 
     Rebuilds the partition (:meth:`Graph.from_dict`) and the per-shard
     configuration, builds the system (config-driven method unless a picklable
-    ``method_factory`` was shipped), binds the loopback app on an ephemeral
-    port, reports ``{"port", "describe"}`` on the ``ready`` pipe, and serves
-    until ``/admin/shutdown`` (or the process is killed).  A startup failure
-    is reported as ``{"error": ...}`` on the pipe so the coordinator can
-    surface the real reason instead of a bare handshake timeout.
+    ``method_factory`` was shipped), sends ``{"describe": ...}`` on ``conn``
+    and serves request frames until ``shutdown`` (or the process is killed).
+    A startup failure is reported as ``{"error": ...}`` instead, so the
+    coordinator can surface the real reason rather than a bare handshake
+    timeout.
     """
     from repro.graph.graph import Graph  # deferred: after spawn bootstrap
 
@@ -326,20 +205,17 @@ def worker_main(
             slow_threshold_seconds=config.slow_query_threshold_s,
         )
         method = method_factory() if method_factory is not None else None
-        system = GraphCacheSystem(dataset, config, method=method)
-        app = ShardWorkerApp(system, shard_index, log_handler=log_handler)
-        httpd = _WorkerHTTPServer(("127.0.0.1", 0), None)
-        httpd.RequestHandlerClass = _make_handler(app, httpd)
+        system = ShardWorkerSystem(dataset, config, method, shard_index)
     except Exception as exc:
         try:
-            ready.send({"error": f"{type(exc).__name__}: {exc}"})
+            conn.send({"error": f"{type(exc).__name__}: {exc}"})
         finally:
-            ready.close()
+            conn.close()
         return
+    worker = ShardWorker(system, log_handler)
     try:
-        ready.send({"port": httpd.server_address[1], "describe": app.describe()})
-        ready.close()
-        httpd.serve_forever()
+        conn.send({"describe": worker.describe()})
+        worker.serve(conn)
     finally:
-        httpd.server_close()
+        conn.close()
         system.close()

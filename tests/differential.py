@@ -9,8 +9,8 @@ returns exactly the same answer sets** for the same workload —
 * ``sharded(N)+short-circuit`` — the same engine with summary-driven shard
   pruning (``scatter_mode="short-circuit"``);
 * ``sharded(N)+process`` — the same engine with every shard hosted in a
-  spawned worker process (``shard_backend="process"``, v2 envelopes over
-  loopback);
+  spawned worker process (``shard_backend="process"``, one pipe per
+  worker);
 * ``served``      — queries replayed through the HTTP server.
 
 The harness runs each arm on a *fresh* system over the same dataset and the

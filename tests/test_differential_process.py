@@ -12,15 +12,35 @@ Worker-crash fault injection lives here too: a shard worker killed
 mid-trace is respawned within ``shard_respawn_limit`` with zero dropped or
 duplicated answers, and with the budget at 0 the failure surfaces as the
 typed, retryable ``shard-worker`` error.
+
+Worker lifecycle: a failed startup raises its typed error and leaves no
+worker behind, ``close()`` returns threads, child processes and file
+descriptors to their baseline, concurrent calls sharing one worker pipe
+each get their own reply, and a library error raised inside a worker
+reaches the caller as the same class the thread backend raises.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from multiprocessing import resource_tracker
+
 import pytest
 
 from repro.api.envelopes import ErrorEnvelope
-from repro.errors import ShardWorkerError
+from repro.errors import (
+    BudgetExceededError,
+    ConfigurationError,
+    ServerError,
+    ShardWorkerError,
+)
 from repro.graph import molecule_dataset
+from repro.isomorphism import VF2Matcher
+from repro.methods import DirectSIMethod
 from repro.runtime.config import GCConfig
 from repro.runtime.system import GraphCacheSystem
 from repro.sharding import ShardedGraphCacheSystem
@@ -35,6 +55,30 @@ from tests.differential import (
     run_served,
     run_sharded,
 )
+
+
+class _BudgetRefusingMatcher(VF2Matcher):
+    """A verifier that gives up on every test with a typed library error."""
+
+    def find_embedding(self, query, target):
+        raise BudgetExceededError(7)
+
+
+def budget_refusing_method():
+    """Module-level, so it pickles across the spawn boundary."""
+    return DirectSIMethod(verifier=_BudgetRefusingMatcher())
+
+
+def unbuildable_method():
+    """Fails inside the worker, after the spawn itself succeeded."""
+    raise ConfigurationError("no method for this shard")
+
+
+def _open_fd_count() -> int | None:
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +259,106 @@ class TestProcessShardObservability:
             assert all(count == len(queries) for count in per_shard)
             description = system.describe()
             assert description["config"]["shard_backend"] == "process"
+
+
+class TestProcessShardLifecycle:
+    def test_unpicklable_method_factory_is_a_configuration_error(self, dataset):
+        """A lambda cannot cross the spawn boundary: the caller gets the
+        typed error, and no worker outlives the failed construction."""
+        config = GCConfig(num_shards=2, shard_backend="process")
+        children = set(multiprocessing.active_children())
+        with pytest.raises(ConfigurationError, match="module-level callable"):
+            ShardedGraphCacheSystem(dataset, config,
+                                    method_factory=lambda: DirectSIMethod())
+        assert set(multiprocessing.active_children()) <= children
+
+    def test_worker_startup_failure_stops_every_started_worker(self, dataset):
+        config = GCConfig(num_shards=2, shard_backend="process")
+        children = set(multiprocessing.active_children())
+        threads = set(threading.enumerate())
+        with pytest.raises(ShardWorkerError, match="no method for this shard"):
+            ShardedGraphCacheSystem(dataset, config,
+                                    method_factory=unbuildable_method)
+        assert set(multiprocessing.active_children()) <= children
+        assert set(threading.enumerate()) <= threads
+
+    def test_close_leaks_no_thread_process_or_fd(self, dataset, workload):
+        # the first spawn in a process starts multiprocessing's resource
+        # tracker, which holds one fd for the life of the process
+        resource_tracker.ensure_running()
+        threads = set(threading.enumerate())
+        children = set(multiprocessing.active_children())
+        fds = _open_fd_count()
+        config = GCConfig(cache_capacity=25, window_size=5, num_shards=2,
+                          shard_backend="process")
+        system = ShardedGraphCacheSystem(dataset, config)
+        system.run_queries_concurrent(clone_queries(workload)[:20], max_workers=4)
+        system.run_queries(clone_queries(workload)[20:25])
+        assert len(system.describe_shards()) == 2
+        system.close()
+        assert set(threading.enumerate()) <= threads
+        assert set(multiprocessing.active_children()) <= children
+        if fds is not None:
+            assert _open_fd_count() == fds
+
+    def test_shard_calls_after_close_raise_server_error(self, dataset, workload):
+        config = GCConfig(num_shards=2, shard_backend="process")
+        system = ShardedGraphCacheSystem(dataset, config)
+        shard = system.shards[0]
+        system.close()
+        queries = clone_queries(workload)[:3]
+        with pytest.raises(ServerError):
+            shard.run_query(queries[0])
+        with pytest.raises(ServerError):
+            shard.run_queries_concurrent(queries, max_workers=2)
+        with pytest.raises(ServerError):
+            shard.flush_window()
+
+
+class TestPipeMultiplexing:
+    def test_concurrent_calls_to_one_worker_each_get_their_own_reply(
+            self, dataset, workload, direct):
+        """Many threads share one worker pipe: every reply must reach the
+        call that asked for it, whatever order the worker answers in."""
+        config = GCConfig(num_shards=1, shard_backend="process")
+        queries = clone_queries(workload)[:24]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ShardedGraphCacheSystem(dataset, config) as system:
+                shard = system.shards[0]
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    answers = [pool.submit(shard.run_query, query)
+                               for query in queries]
+                    describes = [pool.submit(shard.remote_describe)
+                                 for _ in range(8)]
+                    reports = [future.result(timeout=120) for future in answers]
+                    described = [future.result(timeout=120) for future in describes]
+        finally:
+            sys.setswitchinterval(previous)
+        assert all(report.query is query for report, query in zip(reports, queries))
+        assert [frozenset(report.answer) for report in reports] == direct.answers[:24]
+        assert all(payload["shard"] == 0 for payload in described)
+
+
+class TestTypedErrorsAcrossTheHop:
+    @pytest.mark.parametrize("shard_backend", ("thread", "process"))
+    def test_verifier_error_keeps_its_class_and_code(self, dataset, workload,
+                                                     shard_backend):
+        """A ``repro.errors`` exception raised by a shard's verifier reaches
+        the caller as the same class with the same taxonomy code, whether
+        the shard runs in a thread or behind the worker pipe."""
+        config = GCConfig(num_shards=2, shard_backend=shard_backend)
+        queries = clone_queries(workload)[:4]
+        with ShardedGraphCacheSystem(dataset, config,
+                                     method_factory=budget_refusing_method) as system:
+            with pytest.raises(BudgetExceededError) as single:
+                system.run_query(queries[0])
+            with pytest.raises(BudgetExceededError) as batch:
+                system.run_queries_concurrent(queries[1:], max_workers=2)
+        for excinfo in (single, batch):
+            assert type(excinfo.value) is BudgetExceededError
+            assert str(excinfo.value) == str(BudgetExceededError(7))
+            assert excinfo.value.budget == 7
+            envelope = ErrorEnvelope.from_exception(excinfo.value)
+            assert envelope.code == "isomorphism-budget-exceeded"
